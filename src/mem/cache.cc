@@ -75,22 +75,33 @@ Cache::contains(Addr line_addr) const
 }
 
 CacheProbe
-Cache::access(Addr line_addr, bool is_write, bool allocate_on_miss)
+Cache::access(Addr line_addr, bool is_write, bool allocate_on_miss,
+              std::uint32_t add_sharers)
 {
     line_addr = lineAlign(line_addr);
-    CacheProbe probe;
 
     if (CacheLineState *line = findLine(line_addr)) {
         ++hits;
+        CacheProbe probe;
+        probe.hit = true;
+        probe.locked = line->lockBit;
+        probe.sharers = line->sharers;
         line->lruStamp = ++lruCounter;
         line->dirty = line->dirty || is_write;
-        probe.hit = true;
+        line->sharers |= add_sharers;
         return probe;
     }
 
     ++misses;
     if (!allocate_on_miss)
-        return probe;
+        return CacheProbe{};
+    return fill(line_addr, is_write, add_sharers);
+}
+
+CacheProbe
+Cache::fill(Addr line_addr, bool is_write, std::uint32_t add_sharers)
+{
+    line_addr = lineAlign(line_addr);
 
     // Choose a victim: first invalid way, else LRU. A locked line is never
     // chosen while an unlocked candidate exists (the HALO lock pins the
@@ -115,11 +126,13 @@ Cache::access(Addr line_addr, bool is_write, bool allocate_on_miss)
     if (!victim)
         victim = lockedVictim; // whole set locked: extremely rare fallback
 
+    CacheProbe probe;
     if (victim->valid) {
         ++evictions;
         probe.evictedValid = true;
         probe.evictedDirty = victim->dirty;
         probe.evictedLine = victim->tag;
+        probe.evictedSharers = victim->sharers;
         if (victim->dirty)
             ++writebacks;
     }
@@ -128,8 +141,26 @@ Cache::access(Addr line_addr, bool is_write, bool allocate_on_miss)
     victim->valid = true;
     victim->dirty = is_write;
     victim->lockBit = false;
+    victim->sharers = add_sharers;
     victim->lruStamp = ++lruCounter;
     return probe;
+}
+
+std::uint32_t
+Cache::sharers(Addr line_addr) const
+{
+    const CacheLineState *line = findLine(lineAlign(line_addr));
+    return line != nullptr ? line->sharers : 0;
+}
+
+void
+Cache::clearSharers(Addr line_addr, std::uint32_t sharers,
+                    bool absorb_dirty)
+{
+    if (CacheLineState *line = findLine(lineAlign(line_addr))) {
+        line->sharers &= ~sharers;
+        line->dirty = line->dirty || absorb_dirty;
+    }
 }
 
 bool

@@ -34,10 +34,16 @@ enum class MemLevel : std::uint8_t
 /** Human-readable level name. */
 const char *memLevelName(MemLevel level);
 
+/** Width of CacheLineState::sharers: the most cores an LLC can track. */
+constexpr unsigned maxSharerCores = 32;
+
 /**
  * One cache way. The lockBit is the reserved metadata bit HALO uses for
  * its hardware-assisted concurrency lock (paper §4.4); it is only ever
- * set on LLC lines.
+ * set on LLC lines. The sharer mask holds the snoop filter's core-valid
+ * bits, also LLC only: bit c is set whenever core c's private caches may
+ * hold the line. It may over-approximate (a private eviction leaves the
+ * bit set) but never misses a holder.
  */
 struct CacheLineState
 {
@@ -45,16 +51,23 @@ struct CacheLineState
     bool valid = false;
     bool dirty = false;
     bool lockBit = false;     ///< HALO hardware lock (LLC only)
+    std::uint32_t sharers = 0; ///< core-valid bits (LLC only)
     std::uint64_t lruStamp = 0;
 };
+
+static_assert(sizeof(CacheLineState) == 24,
+              "the sharer mask must stay in the line's padding");
 
 /** Result of a single cache probe. */
 struct CacheProbe
 {
     bool hit = false;
+    bool locked = false;          ///< hit line's lock bit
     bool evictedValid = false;
     bool evictedDirty = false;
+    std::uint32_t sharers = 0;    ///< hit line's sharer mask before the access
     Addr evictedLine = invalidAddr;
+    std::uint32_t evictedSharers = 0; ///< victim's sharer mask
 };
 
 /**
@@ -91,9 +104,30 @@ class Cache
      * @param line_addr line-aligned address
      * @param is_write  marks the line dirty on hit/fill
      * @param allocate_on_miss fill the line on miss (false = probe only)
+     * @param add_sharers OR-ed into the line's sharer mask (hit or fill)
      */
     CacheProbe access(Addr line_addr, bool is_write,
-                      bool allocate_on_miss = true);
+                      bool allocate_on_miss = true,
+                      std::uint32_t add_sharers = 0);
+
+    /**
+     * Allocate a line the caller has just probed and missed with
+     * allocate_on_miss=false, without counting that miss again. The line
+     * must be absent.
+     */
+    CacheProbe fill(Addr line_addr, bool is_write,
+                    std::uint32_t add_sharers = 0);
+
+    /** Sharer mask of a line; absent lines report 0. */
+    std::uint32_t sharers(Addr line_addr) const;
+
+    /**
+     * Record a snoop that invalidated the private copies of the cores in
+     * @p sharers: clear their bits, and mark the line dirty when one of
+     * the copies was (the LLC absorbs its data).
+     */
+    void clearSharers(Addr line_addr, std::uint32_t sharers,
+                      bool absorb_dirty);
 
     /**
      * Remove a line (back-invalidation from an inclusive LLC or a snoop).
@@ -112,6 +146,16 @@ class Cache
 
     /** Drop every line. */
     void flushAll();
+
+    /** Call @p fn with the address of every valid line (for tests). */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const auto &line : lines)
+            if (line.valid)
+                fn(line.tag);
+    }
 
     StatGroup &stats() { return statGroup; }
     const StatGroup &stats() const { return statGroup; }

@@ -1,5 +1,6 @@
 #include "mem/hierarchy.hh"
 
+#include <bit>
 #include <cmath>
 
 namespace halo {
@@ -32,6 +33,9 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
       backInvalidations(statGroup.counter("back_invalidations"))
 {
     HALO_ASSERT(cfg.cores > 0 && cfg.llcSlices > 0);
+    HALO_ASSERT(cfg.cores <= maxSharerCores,
+                "the LLC sharer mask tracks at most ", maxSharerCores,
+                " cores");
     meshDim = static_cast<unsigned>(
         std::ceil(std::sqrt(static_cast<double>(cfg.llcSlices))));
 
@@ -77,14 +81,18 @@ MemoryHierarchy::sliceSliceHops(SliceId a, SliceId b) const
 }
 
 bool
-MemoryHierarchy::snoopInvalidatePrivate(Addr line, int except_core,
+MemoryHierarchy::snoopInvalidatePrivate(Cache &slice, Addr line,
+                                        std::uint32_t sharers,
                                         bool &was_dirty)
 {
     was_dirty = false;
+    if (sharers == 0)
+        return false;
+    // The LLC line's core-valid bits name every core that may hold a
+    // copy; the others cannot, so only these are probed.
     bool found = false;
-    for (unsigned c = 0; c < cfg.cores; ++c) {
-        if (static_cast<int>(c) == except_core)
-            continue;
+    for (std::uint32_t m = sharers; m != 0; m &= m - 1) {
+        const unsigned c = static_cast<unsigned>(std::countr_zero(m));
         if (l1s[c]->contains(line)) {
             was_dirty |= l1s[c]->invalidate(line);
             found = true;
@@ -94,14 +102,16 @@ MemoryHierarchy::snoopInvalidatePrivate(Addr line, int except_core,
             found = true;
         }
     }
+    slice.clearSharers(line, sharers, was_dirty);
     return found;
 }
 
 void
-MemoryHierarchy::handleLlcEviction(Addr evicted_line)
+MemoryHierarchy::handleLlcEviction(Addr evicted_line, std::uint32_t sharers)
 {
     // Inclusive LLC: evicting a line removes private copies too.
-    for (unsigned c = 0; c < cfg.cores; ++c) {
+    for (std::uint32_t m = sharers; m != 0; m &= m - 1) {
+        const unsigned c = static_cast<unsigned>(std::countr_zero(m));
         const bool present = l1s[c]->contains(evicted_line) ||
                              l2s[c]->contains(evicted_line);
         l1s[c]->invalidate(evicted_line);
@@ -120,38 +130,41 @@ MemoryHierarchy::coreAccess(CoreId core, Addr addr, bool is_write)
     if (is_write && writeObserver)
         writeObserver(line);
 
-    // L1 (probe only; fills happen once the servicing level is known).
+    // L1 (probe only; fills happen once the servicing level is known and
+    // do not count the probe's miss again).
     if (l1s[core]->access(line, is_write, /*allocate=*/false).hit)
         return {cfg.l1Latency, MemLevel::L1};
 
     // L2
     if (l2s[core]->access(line, is_write, /*allocate=*/false).hit) {
-        l1s[core]->access(line, is_write); // fill L1
+        l1s[core]->fill(line, is_write);
         return {cfg.l1Latency + cfg.l2Latency, MemLevel::L2};
     }
 
-    // LLC slice over the mesh.
+    // LLC slice over the mesh. The requester becomes a sharer; every
+    // other sharer is snooped below.
     const SliceId home = sliceOf(line);
     const Cycles mesh = cfg.coreToLlcBase +
                         2ull * cfg.hopCycles * coreSliceHops(core, home);
     Cycles latency = cfg.l1Latency + cfg.l2Latency + mesh +
                      cfg.llcSliceLatency;
+    const std::uint32_t self = 1u << core;
+    CacheProbe llc = slices[home]->access(line, is_write,
+                                          /*allocate=*/true, self);
+    if (llc.evictedValid)
+        handleLlcEviction(llc.evictedLine, llc.evictedSharers);
 
     // Writes must wait for a HALO-locked line to unlock (snoop-miss NACK
     // and retry). Functionally the lock holder is an accelerator whose
     // query completes in bounded time, so one retry round is charged.
-    if (is_write && slices[home]->lockBit(line)) {
+    if (is_write && llc.locked) {
         ++lockRetries;
         latency += cfg.lockRetryPenalty;
     }
 
     bool remote_dirty = false;
     const bool in_remote = snoopInvalidatePrivate(
-        line, static_cast<int>(core), remote_dirty);
-
-    CacheProbe llc = slices[home]->access(line, is_write || remote_dirty);
-    if (llc.evictedValid)
-        handleLlcEviction(llc.evictedLine);
+        *slices[home], line, llc.sharers & ~self, remote_dirty);
 
     MemLevel level;
     if (llc.hit) {
@@ -169,8 +182,8 @@ MemoryHierarchy::coreAccess(CoreId core, Addr addr, bool is_write)
     }
 
     // Fill private caches (inclusion already guaranteed by LLC fill).
-    l2s[core]->access(line, is_write);
-    l1s[core]->access(line, is_write);
+    l2s[core]->fill(line, is_write);
+    l1s[core]->fill(line, is_write);
     return {latency, level};
 }
 
@@ -186,15 +199,16 @@ MemoryHierarchy::chaAccess(SliceId requester, Addr addr, bool is_write)
                      2ull * cfg.chaHopCycles *
                          sliceSliceHops(requester, home);
 
-    // The CHA owns the directory for its lines: snoop out any dirty
-    // private copy so the accelerator reads coherent data.
-    bool remote_dirty = false;
-    const bool in_private =
-        snoopInvalidatePrivate(line, /*except_core=*/-1, remote_dirty);
-
-    CacheProbe llc = slices[home]->access(line, is_write || remote_dirty);
+    // The CHA owns the directory for its lines: snoop out any private
+    // copy so the accelerator reads coherent data.
+    CacheProbe llc = slices[home]->access(line, is_write);
     if (llc.evictedValid)
-        handleLlcEviction(llc.evictedLine);
+        handleLlcEviction(llc.evictedLine, llc.evictedSharers);
+
+    bool remote_dirty = false;
+    const bool in_private = snoopInvalidatePrivate(*slices[home], line,
+                                                   llc.sharers,
+                                                   remote_dirty);
 
     if (llc.hit) {
         if (in_private && remote_dirty) {
@@ -213,13 +227,16 @@ MemoryHierarchy::chaAccess(SliceId requester, Addr addr, bool is_write)
 void
 MemoryHierarchy::warmLine(Addr addr, bool into_private, CoreId core)
 {
+    HALO_ASSERT(!into_private || core < cfg.cores, "bad core id");
     const Addr line = lineAlign(addr);
-    CacheProbe llc = slices[sliceOf(line)]->access(line, false);
+    const std::uint32_t sharer = into_private ? 1u << core : 0u;
+    CacheProbe llc = slices[sliceOf(line)]->access(line, false,
+                                                   /*allocate=*/true, sharer);
     if (llc.evictedValid)
-        handleLlcEviction(llc.evictedLine);
+        handleLlcEviction(llc.evictedLine, llc.evictedSharers);
     if (into_private) {
-        l2s.at(core)->access(line, false);
-        l1s.at(core)->access(line, false);
+        l2s[core]->access(line, false);
+        l1s[core]->access(line, false);
     }
 }
 
@@ -234,7 +251,7 @@ MemoryHierarchy::lockLine(SliceId requester, Addr addr)
         // Accelerator brings the line into LLC before locking it.
         CacheProbe llc = slices[home]->access(line, false);
         if (llc.evictedValid)
-            handleLlcEviction(llc.evictedLine);
+            handleLlcEviction(llc.evictedLine, llc.evictedSharers);
         (void)requester;
     }
     return slices[home]->setLockBit(line, true);

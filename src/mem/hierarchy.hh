@@ -36,6 +36,7 @@ namespace halo {
 /** Geometry and latency parameters of the simulated socket. */
 struct HierarchyConfig
 {
+    /// At most maxSharerCores: the LLC tracks sharers in a 32-bit mask.
     unsigned cores = 16;
 
     std::uint64_t l1Bytes = 32 * 1024;
@@ -151,13 +152,15 @@ class MemoryHierarchy
     StatGroup &stats() { return statGroup; }
 
   private:
-    /** Snoop all private caches except @p except for a copy; invalidate
-     *  it and report whether it was dirty. */
-    bool snoopInvalidatePrivate(Addr line, int except_core,
-                                bool &was_dirty);
+    /** Invalidate the private copies held by the cores in @p sharers and
+     *  clear their bits on the LLC line in @p slice; report whether any
+     *  copy existed and whether one was dirty. */
+    bool snoopInvalidatePrivate(Cache &slice, Addr line,
+                                std::uint32_t sharers, bool &was_dirty);
 
-    /** Maintain inclusion: LLC eviction back-invalidates private copies. */
-    void handleLlcEviction(Addr evicted_line);
+    /** Maintain inclusion: LLC eviction back-invalidates the private
+     *  copies of the cores in the victim's sharer mask. */
+    void handleLlcEviction(Addr evicted_line, std::uint32_t sharers);
 
     HierarchyConfig cfg;
     std::function<void(Addr)> writeObserver;

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "mem/hierarchy.hh"
 
 namespace halo {
@@ -188,6 +194,232 @@ TEST(Hierarchy, ChaAccessSnoopsDirtyPrivateCopies)
     const AccessResult r = h.chaAccess(0, 0x90000, false);
     EXPECT_EQ(r.level, MemLevel::RemoteCache);
     EXPECT_FALSE(h.l1(3).contains(0x90000));
+}
+
+TEST(Hierarchy, ColdAccessesCountOnePrivateMissEach)
+{
+    MemoryHierarchy h;
+    const unsigned n = 100;
+    for (unsigned i = 0; i < n; ++i)
+        h.coreAccess(2, 0x200000 + static_cast<Addr>(i) * 64, i % 2 == 0);
+    EXPECT_EQ(h.l1(2).stats().counterValue("misses"), n);
+    EXPECT_EQ(h.l2(2).stats().counterValue("misses"), n);
+    EXPECT_EQ(h.l1(2).stats().counterValue("hits"), 0u);
+
+    // An L2 hit refills L1 without counting a second L1 miss.
+    for (unsigned i = 0; i < n; ++i)
+        h.l1(2).invalidate(0x200000 + static_cast<Addr>(i) * 64);
+    for (unsigned i = 0; i < n; ++i)
+        EXPECT_EQ(h.coreAccess(2, 0x200000 + static_cast<Addr>(i) * 64,
+                               false)
+                      .level,
+                  MemLevel::L2);
+    EXPECT_EQ(h.l1(2).stats().counterValue("misses"), 2 * n);
+    EXPECT_EQ(h.l2(2).stats().counterValue("misses"), n);
+    EXPECT_EQ(h.l2(2).stats().counterValue("hits"), n);
+}
+
+TEST(Hierarchy, RejectsMoreCoresThanTheSharerMaskHolds)
+{
+    HierarchyConfig cfg;
+    cfg.cores = maxSharerCores;
+    EXPECT_NO_THROW(MemoryHierarchy{cfg});
+    cfg.cores = maxSharerCores + 1;
+    EXPECT_THROW(MemoryHierarchy{cfg}, PanicError);
+}
+
+TEST(Hierarchy, SharerMaskTracksPrivateCopies)
+{
+    MemoryHierarchy h;
+    const Addr a = 0xa0000;
+    Cache &llc = h.llcSlice(h.sliceOf(a));
+    h.coreAccess(1, a, false);
+    EXPECT_EQ(llc.sharers(a), 1u << 1);
+    // Every access that reaches the LLC snoops the other sharers out.
+    h.coreAccess(4, a, false);
+    EXPECT_EQ(llc.sharers(a), 1u << 4);
+    EXPECT_FALSE(h.l1(1).contains(a));
+    // Warming into a private cache adds a sharer without snooping.
+    h.warmLine(a, /*into_private=*/true, 7);
+    EXPECT_EQ(llc.sharers(a), (1u << 4) | (1u << 7));
+    // A stale bit is harmless: core 7 drops its copy behind the LLC's
+    // back, and the next snoop probes it for nothing and clears it.
+    h.l1(7).invalidate(a);
+    h.l2(7).invalidate(a);
+    EXPECT_EQ(llc.sharers(a), (1u << 4) | (1u << 7));
+    h.coreAccess(4, a, true); // L1 hit: no snoop, dirty in core 4
+    EXPECT_EQ(h.chaAccess(3, a, false).level, MemLevel::RemoteCache);
+    EXPECT_EQ(llc.sharers(a), 0u);
+    EXPECT_FALSE(h.l1(4).contains(a));
+}
+
+/** FNV-1a over 64-bit words and strings. */
+struct Digest
+{
+    std::uint64_t value = 0xcbf29ce484222325ull;
+
+    void
+    byte(unsigned char b)
+    {
+        value ^= b;
+        value *= 0x100000001b3ull;
+    }
+
+    void
+    add(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i)
+            byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+
+    void
+    add(const std::string &s)
+    {
+        for (char c : s)
+            byte(static_cast<unsigned char>(c));
+        add(s.size());
+    }
+};
+
+/**
+ * A seeded mix of every hierarchy operation on small caches, so LLC
+ * evictions, snoops, locks, and direct private flushes all happen often.
+ * The (latency, level) sequence and every counter digest to the value the
+ * hierarchy gave before the LLC tracked sharers, when every snoop and
+ * back-invalidation probed all cores. Private-cache misses are left out
+ * of that digest: the old model counted a private miss once at the probe
+ * and again at the fill, so they are checked against an exact count here.
+ */
+TEST(Hierarchy, SharerMaskKeepsResultsAndCountersIdentical)
+{
+    HierarchyConfig cfg;
+    cfg.cores = 6;
+    cfg.l1Bytes = 512; // one 8-way set
+    cfg.l1Assoc = 8;
+    cfg.l2Bytes = 2048; // two 16-way sets
+    cfg.l2Assoc = 16;
+    cfg.llcSlices = 4;
+    cfg.llcSliceBytes = 4096; // four 16-way sets per slice
+    cfg.llcAssoc = 16;
+    MemoryHierarchy h(cfg);
+
+    std::mt19937_64 rng(20190622);
+    const unsigned pool = 1024; // 4x the LLC
+    const unsigned hot = 96;
+    auto pick = [&] {
+        const std::uint64_t r = rng();
+        const std::uint64_t idx = (r & 3) == 0 ? (r >> 2) % pool
+                                               : (r >> 2) % hot;
+        return 0x100000 + static_cast<Addr>(idx) * cacheLineBytes;
+    };
+
+    Digest digest;
+    std::vector<std::uint64_t> l1Misses(cfg.cores, 0);
+    std::vector<std::uint64_t> l2Misses(cfg.cores, 0);
+    std::deque<Addr> locked;
+    Addr last = 0x100000;
+    unsigned violations = 0;
+    const unsigned ops = 1000000;
+
+    auto record = [&](const AccessResult &r) {
+        digest.add(r.latency);
+        digest.add(static_cast<std::uint64_t>(r.level));
+    };
+    auto core_access = [&](CoreId c, Addr a, bool w) {
+        const AccessResult r = h.coreAccess(c, a, w);
+        record(r);
+        if (r.level != MemLevel::L1)
+            ++l1Misses[c];
+        if (r.level != MemLevel::L1 && r.level != MemLevel::L2)
+            ++l2Misses[c];
+    };
+
+    for (unsigned op = 0; op < ops; ++op) {
+        const unsigned kind = static_cast<unsigned>(rng() % 100);
+        const CoreId c = static_cast<CoreId>(rng() % cfg.cores);
+        const Addr a = kind >= 97 ? last : pick();
+        if (kind < 40) {
+            core_access(c, a, false);
+        } else if (kind < 55) {
+            core_access(c, a, true);
+        } else if (kind < 70) {
+            record(h.chaAccess(static_cast<SliceId>(c % cfg.llcSlices), a,
+                               false));
+        } else if (kind < 75) {
+            record(h.chaAccess(static_cast<SliceId>(c % cfg.llcSlices), a,
+                               true));
+        } else if (kind < 80) {
+            h.warmLine(a);
+        } else if (kind < 85) {
+            l1Misses[c] += h.l1(c).contains(a) ? 0 : 1;
+            l2Misses[c] += h.l2(c).contains(a) ? 0 : 1;
+            h.warmLine(a, /*into_private=*/true, c);
+        } else if (kind < 88) {
+            const bool got = h.lockLine(static_cast<SliceId>(c), a);
+            digest.add(got);
+            if (got)
+                locked.push_back(a);
+            if (locked.size() > 4) {
+                h.unlockLine(locked.front());
+                locked.pop_front();
+            }
+        } else if (kind < 90) {
+            digest.add(h.isLineLocked(a));
+            if (!locked.empty()) {
+                h.unlockLine(locked.back());
+                locked.pop_back();
+            }
+        } else if (kind < 93) {
+            digest.add(h.l1(c).invalidate(a));
+        } else if (kind < 96) {
+            digest.add(h.l2(c).invalidate(a));
+        } else if (kind < 97) {
+            if (rng() % 8 == 0)
+                h.l1(c).flushAll();
+            else
+                h.l2(c).flushAll();
+        } else {
+            core_access(c, a, kind == 99);
+        }
+        last = a;
+
+        // Superset invariant: every private copy has its core's bit set
+        // on the LLC line.
+        for (CoreId core = 0; core < cfg.cores; ++core) {
+            const std::uint32_t bit = 1u << core;
+            auto check = [&](Addr line) {
+                if (!(h.llcSlice(h.sliceOf(line)).sharers(line) & bit))
+                    ++violations;
+            };
+            h.l1(core).forEachLine(check);
+            h.l2(core).forEachLine(check);
+        }
+        ASSERT_EQ(violations, 0u) << "after op " << op;
+    }
+
+    auto add_group = [&](const std::string &label, const StatGroup &g,
+                         bool private_cache) {
+        g.forEachCounter([&](const std::string &name, const Counter &ctr) {
+            if (private_cache && name == "misses")
+                return;
+            digest.add(label + "." + name);
+            digest.add(ctr.value());
+        });
+    };
+    add_group("hierarchy", h.stats(), false);
+    add_group("dram", h.dram().stats(), false);
+    for (SliceId s = 0; s < cfg.llcSlices; ++s)
+        add_group("llc" + std::to_string(s), h.llcSlice(s).stats(), false);
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+        add_group("l1." + std::to_string(c), h.l1(c).stats(), true);
+        add_group("l2." + std::to_string(c), h.l2(c).stats(), true);
+        EXPECT_EQ(h.l1(c).stats().counterValue("misses"), l1Misses[c]);
+        EXPECT_EQ(h.l2(c).stats().counterValue("misses"), l2Misses[c]);
+    }
+    EXPECT_GT(h.stats().counterValue("back_invalidations"), 10000u);
+    EXPECT_GT(h.stats().counterValue("snoop_forwards"), 10000u);
+    EXPECT_GT(h.stats().counterValue("lock_retries"), 100u);
+    EXPECT_EQ(digest.value, 0x8ed9b4dea8896c78ull);
 }
 
 } // namespace
