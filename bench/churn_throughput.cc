@@ -33,7 +33,7 @@
  *                    [--workers N] [--smoke] [--prom FILE]
  *                    [--prom-port N] [--trace FILE] [--sample-us N]
  *                    [--perf]
- *                    [--cuckoo-filter none|emoma|cuckoopp|both]
+ *                    [--cuckoo-filter none|cuckoopp]
  *
  *   --out       JSON output path (default BENCH_churn.json)
  *   --packets   packets per run (default 200000)
@@ -54,8 +54,7 @@
  *               back to rdtsc-only (perf.degraded=true) when the
  *               kernel refuses the syscall
  *   --cuckoo-filter  lookup-filter mode of every shard's cuckoo
- *               tables (EMOMA steering / Cuckoo++ negative filters,
- *               DESIGN.md §13); recorded in the JSON meta block
+ *               tables (Cuckoo++ negative filter, DESIGN.md §13); recorded in the JSON meta block
  */
 
 #include <algorithm>
@@ -491,7 +490,7 @@ main(int argc, char **argv)
             if (!mode) {
                 std::fprintf(stderr,
                              "error: --cuckoo-filter wants one of "
-                             "none|emoma|cuckoopp|both\n");
+                             "none|cuckoopp\n");
                 return 2;
             }
             opt.filter = *mode;
@@ -501,7 +500,7 @@ main(int argc, char **argv)
                          "[--flows N] [--workers N] [--smoke] "
                          "[--prom FILE] [--prom-port N] [--trace FILE] "
                          "[--sample-us N] [--perf] "
-                         "[--cuckoo-filter none|emoma|cuckoopp|both]\n",
+                         "[--cuckoo-filter none|cuckoopp]\n",
                          argv[0]);
             return 2;
         }

@@ -50,10 +50,14 @@
  *                 the high-flow cell (>= 1 disable/enable/resize),
  *                 adaptive cpu-pps >= fixed there, the small-case cell
  *                 keeps adaptive >= 0.85x fixed, and the reference
- *                 estimator lands within 30% of the true distinct count
- *   --prom        write the last run's metrics as Prometheus text
- *   --prom-port   serve GET /metrics live during the last run
- *   --trace       write the last run's Chrome trace here
+ *                 estimator lands within 30% of the true distinct count.
+ *                 Both adaptive/fixed ratios are medians over 7
+ *                 alternating fixed/adaptive run pairs per cell: a
+ *                 single short pair swings by 20-25% on a shared host
+ *   --prom        write the last cell's first adaptive run's metrics
+ *                 as Prometheus text
+ *   --prom-port   serve GET /metrics live during that run
+ *   --trace       write that run's Chrome trace here
  *   --sample-us   sampler interval in microseconds (default 2000)
  *   --perf        per-thread PMU groups (perf_event_open)
  */
@@ -118,12 +122,15 @@ policyName(EmcPolicy p)
     return "?";
 }
 
-/** One (flows, skew) workload cell; runs once per policy. */
+/** One (flows, skew) workload cell; runs once per policy, and fixed
+ *  and adaptive once per ratio pair. */
 struct Cell
 {
     std::uint64_t flows = 0;
     double skew = 0.0;
     bool smallCase = false; ///< EMC-friendly reference cell
+    /// adaptive/fixed aggregate cpu-pps of each fixed/adaptive pair.
+    std::vector<double> pairRatios;
 };
 
 /** Deterministic, never-repeating five-tuple for flow @p id. */
@@ -210,7 +217,7 @@ struct ScaleResult
 
 ScaleResult
 runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
-        bool last_run)
+        bool export_run)
 {
     using SteadyClock = std::chrono::steady_clock;
 
@@ -271,7 +278,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
     }
     if (opt.smoke)
         cfg.revalidator.sweepIntervalMicros = 200;
-    if (!opt.tracePath.empty() && last_run) {
+    if (!opt.tracePath.empty() && export_run) {
         cfg.traceCapacity = 1 << 15;
         cfg.revalidator.traceCapacity = 1 << 14;
     }
@@ -313,10 +320,10 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
     obs::MetricsRegistry liveReg;
     std::unique_ptr<obs::PromHttpExporter> exporter;
     const bool want_prom =
-        last_run && (!opt.promPath.empty() || opt.promPortSet);
+        export_run && (!opt.promPath.empty() || opt.promPortSet);
     if (want_prom)
         rt.registerMetrics(liveReg);
-    if (last_run && opt.promPortSet) {
+    if (export_run && opt.promPortSet) {
         obs::PromHttpExporter::Options eo;
         eo.port = opt.promPort;
         exporter = std::make_unique<obs::PromHttpExporter>(
@@ -438,7 +445,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
                   double(distinct)
             : 0.0;
 
-    if (!opt.promPath.empty() && last_run) {
+    if (!opt.promPath.empty() && export_run) {
         liveReg.gauge("halo_rt_aggregate_cpu_pps", {},
                       res.aggregateCpuPps);
         std::ofstream prom(opt.promPath);
@@ -477,36 +484,60 @@ findRun(const std::vector<ScaleResult> &runs, std::uint64_t flows,
 }
 
 double
-policyRatio(const std::vector<ScaleResult> &runs, std::uint64_t flows,
-            double skew, EmcPolicy num, EmcPolicy den)
+cpuPpsRatio(const ScaleResult *n, const ScaleResult *d)
 {
-    const ScaleResult *n = findRun(runs, flows, skew, num);
-    const ScaleResult *d = findRun(runs, flows, skew, den);
     return n && d && d->aggregateCpuPps > 0.0
                ? n->aggregateCpuPps / d->aggregateCpuPps
                : 0.0;
+}
+
+double
+policyRatio(const std::vector<ScaleResult> &runs, std::uint64_t flows,
+            double skew, EmcPolicy num, EmcPolicy den)
+{
+    return cpuPpsRatio(findRun(runs, flows, skew, num),
+                       findRun(runs, flows, skew, den));
+}
+
+/** Median adaptive/fixed cpu-pps ratio over @p cell's pairs. */
+double
+medianPairRatio(const Cell &cell)
+{
+    std::vector<double> r = cell.pairRatios;
+    if (r.empty())
+        return 0.0;
+    std::sort(r.begin(), r.end());
+    const std::size_t mid = r.size() / 2;
+    return r.size() % 2 ? r[mid] : (r[mid - 1] + r[mid]) / 2.0;
+}
+
+/** The largest swept population at its least-skewed (most
+ *  EMC-hostile) setting, and the small-case reference cell. */
+struct HeadlineCells
+{
+    const Cell *big = nullptr;
+    const Cell *small = nullptr;
+};
+
+HeadlineCells
+headlineCells(const std::vector<Cell> &cells)
+{
+    HeadlineCells h;
+    for (const Cell &c : cells) {
+        if (c.smallCase)
+            h.small = &c;
+        else if (!h.big || c.flows > h.big->flows ||
+                 (c.flows == h.big->flows && c.skew < h.big->skew))
+            h.big = &c;
+    }
+    return h;
 }
 
 void
 writeJson(const Options &opt, const std::vector<Cell> &cells,
           const std::vector<ScaleResult> &runs)
 {
-    // Headline cells: the largest swept population at its least-skewed
-    // (most EMC-hostile) setting, and the small-case reference.
-    std::uint64_t bigFlows = 0;
-    double bigSkew = 0.0;
-    std::uint64_t smallFlows = 0;
-    double smallSkew = 0.0;
-    for (const Cell &c : cells) {
-        if (c.smallCase) {
-            smallFlows = c.flows;
-            smallSkew = c.skew;
-        } else if (c.flows > bigFlows ||
-                   (c.flows == bigFlows && c.skew < bigSkew)) {
-            bigFlows = c.flows;
-            bigSkew = c.skew;
-        }
-    }
+    const HeadlineCells h = headlineCells(cells);
 
     std::ofstream out(opt.outPath);
     if (!out) {
@@ -527,21 +558,25 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
     j.kv("perf_enabled", opt.perf && obs::perfCompiledIn());
     j.kv("perf_degraded", !runs.empty() && runs.back().perfDegraded);
     j.kv("headline_adaptive_over_fixed",
-         policyRatio(runs, bigFlows, bigSkew, EmcPolicy::Adaptive,
-                     EmcPolicy::Fixed), 3);
+         h.big ? medianPairRatio(*h.big) : 0.0, 3);
     j.kv("headline_off_over_fixed",
-         policyRatio(runs, bigFlows, bigSkew, EmcPolicy::Off,
-                     EmcPolicy::Fixed), 3);
+         h.big ? policyRatio(runs, h.big->flows, h.big->skew,
+                             EmcPolicy::Off, EmcPolicy::Fixed)
+               : 0.0,
+         3);
     j.kv("small_case_adaptive_over_fixed",
-         policyRatio(runs, smallFlows, smallSkew, EmcPolicy::Adaptive,
-                     EmcPolicy::Fixed), 3);
+         h.small ? medianPairRatio(*h.small) : 0.0, 3);
     j.kv("methodology",
          "Each (flows, skew) cell pre-installs every flow as an "
          "exact-match megaflow entry in its owning shard, then pushes "
          "an identical Zipf packet stream through the decoupled "
          "runtime once per EMC policy (fixed / adaptive / off). "
          "aggregate_cpu_pps sums per-worker CLOCK_THREAD_CPUTIME_ID "
-         "packet rates. stream_distinct_flows and ref_estimate are a "
+         "packet rates. Fixed and adaptive run once per ratio pair "
+         "(7 pairs in smoke mode, alternating which runs first); "
+         "runs[] records the first pair and the adaptive/fixed "
+         "headlines are the median pair ratio (pair_ratios). "
+         "stream_distinct_flows and ref_estimate are a "
          "deterministic host-side replay of the stream through a "
          "2^20-bit linear-counting estimator (fixed seeds), so "
          "committed baselines gate estimator accuracy without timing.");
@@ -589,6 +624,19 @@ writeJson(const Options &opt, const std::vector<Cell> &cells,
             writePerfBlock(j, r.perfEnabled, r.perfDegraded,
                            r.perfStages);
         }
+        j.endObject();
+    }
+    j.endArray();
+    j.key("pair_ratios").beginArray();
+    for (const Cell &c : cells) {
+        j.beginObject();
+        j.kv("flows", c.flows);
+        j.kv("zipf_skew", c.skew, 2);
+        j.key("adaptive_over_fixed").beginArray();
+        for (const double r : c.pairRatios)
+            j.value(r, 3);
+        j.endArray();
+        j.kv("median", medianPairRatio(c), 3);
         j.endObject();
     }
     j.endArray();
@@ -654,52 +702,68 @@ main(int argc, char **argv)
             opt.packets = 80000;
         if (opt.emcEntries == 65536)
             opt.emcEntries = 4096;
-        cells.push_back({2000, 1.1, true});
-        cells.push_back({30000, 0.5, false});
+        cells.push_back({2000, 1.1, true, {}});
+        cells.push_back({30000, 0.5, false, {}});
     } else if (opt.flowsOverride) {
-        cells.push_back({opt.flowsOverride, 0.5, false});
-        cells.push_back({opt.flowsOverride, 1.1, false});
+        cells.push_back({opt.flowsOverride, 0.5, false, {}});
+        cells.push_back({opt.flowsOverride, 1.1, false, {}});
     } else {
-        cells.push_back({20000, 1.1, true});
+        cells.push_back({20000, 1.1, true, {}});
         for (const std::uint64_t flows :
              {1000000ull, 4000000ull, 10000000ull}) {
-            cells.push_back({flows, 0.5, false});
-            cells.push_back({flows, 1.1, false});
+            cells.push_back({flows, 0.5, false, {}});
+            cells.push_back({flows, 1.1, false, {}});
         }
     }
 
-    std::vector<ScaleResult> runs;
+    // A short smoke run's adaptive/fixed ratio swings by 20-25% with
+    // host load, so the gated ratios are medians over alternating
+    // pairs; runs[] keeps the first pair (the deterministic replay
+    // fields are identical in every pair).
+    const unsigned ratioPairs = opt.smoke ? 7 : 1;
+    std::vector<ScaleResult> runs, repeats;
     for (std::size_t c = 0; c < cells.size(); ++c) {
-        for (const EmcPolicy policy :
-             {EmcPolicy::Off, EmcPolicy::Fixed, EmcPolicy::Adaptive}) {
-            const bool last = c + 1 == cells.size() &&
-                              policy == EmcPolicy::Adaptive;
-            runs.push_back(runOnce(cells[c], policy, opt, last));
+        Cell &cell = cells[c];
+        const bool lastCell = c + 1 == cells.size();
+        runs.push_back(runOnce(cell, EmcPolicy::Off, opt, false));
+        for (unsigned pair = 0; pair < ratioPairs; ++pair) {
+            const bool adaptiveFirst = pair % 2 == 1;
+            ScaleResult first = runOnce(
+                cell,
+                adaptiveFirst ? EmcPolicy::Adaptive : EmcPolicy::Fixed,
+                opt, false);
+            ScaleResult second = runOnce(
+                cell,
+                adaptiveFirst ? EmcPolicy::Fixed : EmcPolicy::Adaptive,
+                opt, lastCell && pair == 0);
+            ScaleResult &fixed = adaptiveFirst ? second : first;
+            ScaleResult &adaptive = adaptiveFirst ? first : second;
+            cell.pairRatios.push_back(cpuPpsRatio(&adaptive, &fixed));
+            std::vector<ScaleResult> &keep = pair == 0 ? runs : repeats;
+            keep.push_back(std::move(fixed));
+            keep.push_back(std::move(adaptive));
         }
     }
     writeJson(opt, cells, runs);
 
     // Console headline: adaptive vs always-on at the hostile cell.
-    std::uint64_t bigFlows = 0;
-    double bigSkew = 0.0;
-    const Cell *smallCell = nullptr;
-    for (const Cell &c : cells) {
-        if (c.smallCase)
-            smallCell = &c;
-        else if (c.flows > bigFlows ||
-                 (c.flows == bigFlows && c.skew < bigSkew)) {
-            bigFlows = c.flows;
-            bigSkew = c.skew;
-        }
-    }
-    const double bigRatio = policyRatio(
-        runs, bigFlows, bigSkew, EmcPolicy::Adaptive, EmcPolicy::Fixed);
-    std::printf("adaptive/fixed @ %llu flows zipf %.2f: %.3fx\n",
+    const HeadlineCells h = headlineCells(cells);
+    const std::uint64_t bigFlows = h.big ? h.big->flows : 0;
+    const double bigSkew = h.big ? h.big->skew : 0.0;
+    const double bigRatio = h.big ? medianPairRatio(*h.big) : 0.0;
+    std::printf("adaptive/fixed @ %llu flows zipf %.2f: %.3fx "
+                "(median of %u pair%s)\n",
                 static_cast<unsigned long long>(bigFlows), bigSkew,
-                bigRatio);
+                bigRatio, ratioPairs, ratioPairs == 1 ? "" : "s");
 
     if (opt.smoke) {
-        for (const ScaleResult &r : runs) {
+        std::vector<const ScaleResult *> every;
+        for (const ScaleResult &r : runs)
+            every.push_back(&r);
+        for (const ScaleResult &r : repeats)
+            every.push_back(&r);
+        for (const ScaleResult *rp : every) {
+            const ScaleResult &r = *rp;
             if (r.aggregateCpuPps <= 0.0 || r.processed == 0 ||
                 r.processed != r.offered - r.ringFullDrops) {
                 std::fprintf(
@@ -744,12 +808,8 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(bigFlows));
             return 1;
         }
-        const double smallRatio =
-            smallCell ? policyRatio(runs, smallCell->flows,
-                                    smallCell->skew,
-                                    EmcPolicy::Adaptive,
-                                    EmcPolicy::Fixed)
-                      : 1.0;
+        const double smallRatio = h.small ? medianPairRatio(*h.small)
+                                          : 1.0;
         if (smallRatio < 0.85) {
             std::fprintf(stderr,
                          "smoke FAILED: adaptive %.3fx fixed at the "

@@ -26,7 +26,6 @@ TupleSpace::ensureTuple(const FlowMask &mask)
     tcfg.hashKind = cfg.hashKind;
     tcfg.seed = cfg.seed + tuples.size() * 0x9e3779b9u;
     tcfg.filter = cfg.filter;
-    tcfg.adaptiveFilterLoadFactor = cfg.adaptiveFilterLoadFactor;
     tuples.push_back(std::make_unique<Tuple>(mem, mask, tcfg));
     return static_cast<unsigned>(tuples.size() - 1);
 }

@@ -350,7 +350,7 @@ Revalidator::sweep()
         // value this sweep compares against (bucketTimestamp()).
         CuckooHashTable &exact =
             s.vswitch->tupleSpace().table(s.exactTuple);
-        if (cuckooFilterNegative(exact.filterMode()))
+        if (exact.filterMode() == CuckooFilter::CuckooPP)
             exact.setTimestampEpoch(static_cast<std::uint32_t>(
                 s.activity->epoch()));
         // Managed EMC inserts stamp the epoch into the slot's freed

@@ -383,8 +383,8 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                        return static_cast<double>(w->ring().size());
                    });
 
-        // Seqlock retries and EMOMA steers live on the tables; sum
-        // them per worker (relaxed counter reads on stable objects).
+        // Seqlock retries live on the tables; sum them per worker
+        // (relaxed counter reads on stable objects).
         const ExactMatchCache *emc = &w->vswitch().emc();
 
         // EMC cache-management telemetry (relaxed counter/gauge reads;
@@ -438,29 +438,6 @@ Runtime::registerMetrics(obs::MetricsRegistry &reg)
                            sum += t->seqlockRetries();
                        return static_cast<double>(sum);
                    });
-        if (tables_stable) {
-            reg.attach("halo_worker_filter_steers", l,
-                       obs::MetricKind::Counter, [tables] {
-                           std::uint64_t sum = 0;
-                           for (const CuckooHashTable *t : tables)
-                               sum += t->filterSteers();
-                           return static_cast<double>(sum);
-                       });
-            reg.attach("halo_worker_filter_degraded", l,
-                       obs::MetricKind::Gauge, [tables] {
-                           for (const CuckooHashTable *t : tables)
-                               if (t->filterDegraded())
-                                   return 1.0;
-                           return 0.0;
-                       });
-            reg.attach("halo_worker_filter_mode_switches", l,
-                       obs::MetricKind::Counter, [tables] {
-                           std::uint64_t sum = 0;
-                           for (const CuckooHashTable *t : tables)
-                               sum += t->filterModeSwitches();
-                           return static_cast<double>(sum);
-                       });
-        }
     }
 
     if (reval_) {

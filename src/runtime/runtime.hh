@@ -263,8 +263,8 @@ class Runtime
     /**
      * Attach this runtime's live telemetry to @p registry: runtime
      * offered/enqueued/drop counters, per-worker packet/upcall/ring
-     * series, per-worker seqlock-retry and filter-steer sums over the
-     * shard's EMC and megaflow tables, revalidator counters, RSS
+     * series, per-worker seqlock-retry sums over the shard's EMC and
+     * megaflow tables, revalidator counters, RSS
      * rebalance stats, and — when cfg.perfEnabled — per-worker
      * per-stage PMU series (cycles, LLC misses, ...).
      *

@@ -167,9 +167,7 @@ TEST(TraceEquivalence, FastPathKeepsTraceAndCyclesIdentical)
     CoreModel core_got(hier_got, 0), core_want(hier_want, 0);
     TraceBuilder builder;
     // The reference reconstruction below models the unfiltered probe
-    // walk; pin the mode so a -DHALO_CUCKOO_EMOMA build (which flips
-    // the config default) doesn't add steering refs the oracle lacks.
-    // Filtered trace equivalence lives in tests/hash.
+    // walk. Filtered trace equivalence lives in tests/hash.
     CuckooHashTable table(mem, {16, 4096, HashKind::XxMix, 0xfeed,
                                 0.95, CuckooFilter::None});
     const Addr key_stage = mem.allocate(cacheLineBytes, cacheLineBytes);

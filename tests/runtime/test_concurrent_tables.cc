@@ -110,12 +110,12 @@ TEST(ConcurrentTables, CuckooReadersNeverSeeTornEntries)
 }
 
 /**
- * The filtered concurrent path: with both lookup filters armed (EMOMA
- * steering counters + Cuckoo++ aux bytes) the writer mutates filter
- * state inside the same seqlock sections as the bucket entries, and
- * optimistic readers consult the counters through atomic loads. A
- * stale steer or Bloom verdict may cost a retry or a transient miss —
- * never a torn or wrong value. Readers also poll the published
+ * The filtered concurrent path: with the Cuckoo++ filter armed the
+ * writer mutates the bucket aux bytes (displaced-signature Bloom and
+ * timestamp) inside the same seqlock sections as the bucket entries,
+ * and optimistic readers consult the Bloom in their word-copied line
+ * snapshot. A stale Bloom verdict may cost a retry or a transient
+ * miss — never a torn or wrong value. Readers also poll the published
  * counters (size/loadFactor/cuckooMoves) and run the bulk pipeline,
  * covering every reader entry point the runtime uses.
  */
@@ -124,7 +124,7 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
     SimMemory mem(128ull << 20);
     CuckooHashTable::Config cfg;
     cfg.capacity = 30000;
-    cfg.filter = CuckooFilter::Both;
+    cfg.filter = CuckooFilter::CuckooPP;
     CuckooHashTable table(mem, cfg);
     table.enableConcurrent();
 
@@ -184,7 +184,7 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
         std::this_thread::yield();
 
     // Single writer: fill to ~91% occupancy (displacement churn keeps
-    // the EMOMA counters and displaced-sig Blooms hot), then cycle
+    // the displaced-sig Blooms hot), then cycle
     // erase/insert with a moving timestamp epoch.
     for (std::uint64_t op = 0; op < writerOps; ++op) {
         const std::uint64_t id = op % keyRange;
@@ -204,7 +204,6 @@ TEST(ConcurrentTables, FilteredCuckooReadersNeverSeeTornEntries)
 
     EXPECT_GT(table.cuckooMoves(), 0u)
         << "stress never exercised displacement";
-    EXPECT_FALSE(table.filterDegraded());
 }
 
 TEST(ConcurrentTables, EmcReadersNeverSeeTornEntries)

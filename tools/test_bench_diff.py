@@ -20,11 +20,11 @@ def sweep_doc(mops=20.0, buckets_per_miss=1.01, meta=META):
         "benchmark": "cuckoo_miss_sweep",
         "meta": dict(meta),
         "miss_speedup": 1.4,
+        "hit_throughput_ratio_cuckoopp": 0.95,
         "cells": [{
-            "mode": "both", "occupancy": 0.75, "hit_ratio": 0.0,
+            "mode": "cuckoopp", "occupancy": 0.75, "hit_ratio": 0.0,
             "mops": mops, "buckets_per_hit": 0.0,
             "buckets_per_miss": buckets_per_miss,
-            "filter_lines_per_lookup": 1.0,
         }],
     }
 
@@ -62,6 +62,15 @@ class BenchDiffTest(unittest.TestCase):
                             sweep_doc(buckets_per_miss=1.5))
         self.assertEqual(rc, 1, out)
         self.assertIn("buckets_per_miss", out)
+
+    def test_sweep_headline_ratios_are_timing(self):
+        cur = sweep_doc()
+        cur["hit_throughput_ratio_cuckoopp"] = 0.5
+        rc, out = self._run(sweep_doc(), cur)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("hit_throughput_ratio_cuckoopp", out)
+        rc, out = self._run(sweep_doc(), cur, "--no-timing")
+        self.assertEqual(rc, 0, out)
 
     def test_within_threshold_passes(self):
         rc, out = self._run(sweep_doc(mops=20.0),
