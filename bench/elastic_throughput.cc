@@ -243,6 +243,7 @@ runOnce(unsigned workers, double skew, bool elastic,
     cfg.openflowRules = &ofRules;
     cfg.decoupled = true;
     cfg.revalidator.ringCapacity = 8192;
+    cfg.revalidator.idleTimeoutEpochs = 4;
     if (opt.smoke)
         cfg.revalidator.sweepIntervalMicros = 200;
     cfg.elastic.enabled = elastic;

@@ -249,6 +249,7 @@ runOnce(const Cell &cell, EmcPolicy policy, const Options &opt,
     cfg.openflowRules = &ofRules;
     cfg.decoupled = true;
     cfg.revalidator.ringCapacity = 8192;
+    cfg.revalidator.idleTimeoutEpochs = 4;
     if (policy == EmcPolicy::Adaptive) {
         cfg.emcPolicy.adaptive = true;
         // A short window's repeat fraction underestimates the long-run

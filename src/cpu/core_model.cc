@@ -1,21 +1,59 @@
 #include "cpu/core_model.hh"
 
 #include <algorithm>
-#include <vector>
 
+#include "cpu/fixed_block.hh"
 #include "sim/logging.hh"
 
 namespace halo {
 
 CoreModel::CoreModel(MemoryHierarchy &hierarchy, CoreId core_id,
                      const CoreConfig &config)
-    : mem(hierarchy), core(core_id), cfg(config)
+    : mem(hierarchy),
+      core(core_id),
+      cfg(config),
+      retireRing(config.robEntries),
+      loadRing(config.lqEntries),
+      storeRing(config.sqEntries),
+      mshrRing(config.mshrs)
 {
     HALO_ASSERT(cfg.issueWidth > 0 && cfg.robEntries > 0);
 }
 
 RunResult
 CoreModel::run(const OpTrace &trace, Cycles start)
+{
+    return price(trace, start, [this](const MicroOp &op) {
+        return mem.coreAccess(core, op.addr, false);
+    });
+}
+
+RunResult
+CoreModel::run(FixedBlock &block, Addr base, Cycles start)
+{
+    FixedBlock::Key key{};
+    for (unsigned i = 0; i < block.numLoads; ++i) {
+        key[i] = mem.coreAccess(
+            core, base + block.trace[block.loadIndex[i]].addr, false);
+    }
+    const RunResult *rel = block.find(cfg, key);
+    if (rel == nullptr) {
+        unsigned next = 0;
+        rel = &block.store(
+            key, price(block.trace, 0,
+                       [&key, &next](const MicroOp &) {
+                           return key[next++];
+                       }));
+    }
+    RunResult res = *rel;
+    res.startCycle = start;
+    res.endCycle = start + rel->endCycle;
+    return res;
+}
+
+template <typename LoadFn>
+RunResult
+CoreModel::price(const OpTrace &trace, Cycles start, LoadFn &&load)
 {
     RunResult res;
     res.startCycle = start;
@@ -24,13 +62,18 @@ CoreModel::run(const OpTrace &trace, Cycles start)
         return res;
 
     const std::size_t n = trace.size();
-    std::vector<Cycles> complete(n, 0);
+    if (complete.size() < n)
+        complete.resize(n);
 
-    // Ring buffers for in-order resource reclamation.
-    std::vector<Cycles> retireRing(cfg.robEntries, 0);
-    std::vector<Cycles> loadRing(cfg.lqEntries, 0);
-    std::vector<Cycles> storeRing(cfg.sqEntries, 0);
-    std::vector<Cycles> mshrRing(cfg.mshrs, 0);
+    // Ring buffers for in-order resource reclamation. A run of n ops
+    // reads at most its first n slots of each before writing them.
+    auto reset = [n](std::vector<Cycles> &ring) {
+        std::fill_n(ring.begin(), std::min(n, ring.size()), Cycles{0});
+    };
+    reset(retireRing);
+    reset(loadRing);
+    reset(storeRing);
+    std::fill(mshrRing.begin(), mshrRing.end(), Cycles{0});
     std::size_t loadSeq = 0, storeSeq = 0;
 
     Cycles dispatchCycle = start;
@@ -95,8 +138,7 @@ CoreModel::run(const OpTrace &trace, Cycles start)
                 done = ready + cfg.scratchLatency;
                 ++res.levelHits[static_cast<int>(MemLevel::L1)];
             } else {
-                const AccessResult acc =
-                    mem.coreAccess(core, op.addr, false);
+                const AccessResult acc = load(op);
                 ++res.levelHits[static_cast<int>(acc.level)];
                 load_level = acc.level;
                 Cycles begin = ready;

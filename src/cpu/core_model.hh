@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cpu/micro_op.hh"
 #include "mem/hierarchy.hh"
@@ -33,6 +34,8 @@ struct CoreConfig
     Cycles scratchLatency = 1;
     /// Pipeline refill cost after a mispredicted (unpredictable) branch.
     Cycles mispredictPenalty = 14;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Completion times of a non-blocking lookup. */
@@ -98,9 +101,13 @@ struct RunResult
     Cycles elapsed() const { return endCycle - startCycle; }
 };
 
+class FixedBlock;
+
 /**
  * The core model itself. Stateless between run() calls apart from the
- * attached memory hierarchy (cache contents persist, as they should).
+ * attached memory hierarchy (cache contents persist, as they should);
+ * its pipeline rings are reusable scratch, reset at the top of each
+ * run, so pricing a trace never allocates once the model is warm.
  */
 class CoreModel
 {
@@ -123,11 +130,34 @@ class CoreModel
      */
     RunResult run(const OpTrace &trace, Cycles start = 0);
 
+    /**
+     * Price @p block with its addressed loads at @p base + offset.
+     * The loads' hierarchy accesses happen first, in trace order (the
+     * same calls run() would make); the timing comes from the block's
+     * memo, or from run()'s model on those resolved latencies when the
+     * memo has not seen them yet. Equal to run(block.lowered(base),
+     * start) in every field, and in cache state and counters.
+     */
+    RunResult run(FixedBlock &block, Addr base, Cycles start);
+
   private:
+    /** run()'s model; @p load resolves each addressed load, in trace
+     *  order. */
+    template <typename LoadFn>
+    RunResult price(const OpTrace &trace, Cycles start, LoadFn &&load);
+
     MemoryHierarchy &mem;
     CoreId core;
     CoreConfig cfg;
     LookupEngine *engine = nullptr;
+
+    /// Scratch: per-op completion times, and the rings that reclaim
+    /// ROB, LQ, SQ and MSHR entries in order.
+    std::vector<Cycles> complete;
+    std::vector<Cycles> retireRing;
+    std::vector<Cycles> loadRing;
+    std::vector<Cycles> storeRing;
+    std::vector<Cycles> mshrRing;
 };
 
 } // namespace halo

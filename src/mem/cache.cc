@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 namespace halo {
 
 const char *
@@ -35,7 +37,8 @@ Cache::Cache(const std::string &cache_name, std::uint64_t size_bytes,
 {
     HALO_ASSERT(sets > 0, "cache too small for its associativity");
     HALO_ASSERT(isPowerOfTwo(sets), "set count must be a power of two");
-    lines.resize(sets * associativity);
+    tags.assign(sets * associativity, invalidAddr);
+    state.resize(sets * associativity);
 }
 
 std::uint64_t
@@ -44,34 +47,24 @@ Cache::setIndex(Addr line_addr) const
     return (line_addr / cacheLineBytes) & (sets - 1);
 }
 
-CacheLineState *
-Cache::findLine(Addr line_addr)
+std::uint64_t
+Cache::findSlot(Addr line_addr) const
 {
+    // Line addresses are line-aligned, so an invalid way's invalidAddr
+    // never matches.
     const std::uint64_t base = setIndex(line_addr) * associativity;
+    const Addr *set = tags.data() + base;
     for (unsigned way = 0; way < associativity; ++way) {
-        CacheLineState &line = lines[base + way];
-        if (line.valid && line.tag == line_addr)
-            return &line;
+        if (set[way] == line_addr)
+            return base + way;
     }
-    return nullptr;
-}
-
-const CacheLineState *
-Cache::findLine(Addr line_addr) const
-{
-    const std::uint64_t base = setIndex(line_addr) * associativity;
-    for (unsigned way = 0; way < associativity; ++way) {
-        const CacheLineState &line = lines[base + way];
-        if (line.valid && line.tag == line_addr)
-            return &line;
-    }
-    return nullptr;
+    return absent;
 }
 
 bool
 Cache::contains(Addr line_addr) const
 {
-    return findLine(lineAlign(line_addr)) != nullptr;
+    return findSlot(lineAlign(line_addr)) != absent;
 }
 
 CacheProbe
@@ -80,125 +73,153 @@ Cache::access(Addr line_addr, bool is_write, bool allocate_on_miss,
 {
     line_addr = lineAlign(line_addr);
 
-    if (CacheLineState *line = findLine(line_addr)) {
+    const std::uint64_t slot = findSlot(line_addr);
+    if (slot != absent) {
         ++hits;
+        CacheLineState &line = state[slot];
         CacheProbe probe;
         probe.hit = true;
-        probe.locked = line->lockBit;
-        probe.sharers = line->sharers;
-        line->lruStamp = ++lruCounter;
-        line->dirty = line->dirty || is_write;
-        line->sharers |= add_sharers;
+        probe.locked = line.lockBit;
+        probe.sharers = line.sharers;
+        line.lruStamp = ++lruCounter;
+        line.dirty = line.dirty || is_write;
+        line.sharers |= add_sharers;
         return probe;
     }
 
     ++misses;
     if (!allocate_on_miss)
         return CacheProbe{};
-    return fill(line_addr, is_write, add_sharers);
+    CacheProbe probe;
+    fillSlot(line_addr, is_write, add_sharers, probe);
+    return probe;
 }
 
 CacheProbe
 Cache::fill(Addr line_addr, bool is_write, std::uint32_t add_sharers)
 {
-    line_addr = lineAlign(line_addr);
+    CacheProbe probe;
+    fillSlot(lineAlign(line_addr), is_write, add_sharers, probe);
+    return probe;
+}
 
+std::uint64_t
+Cache::fillSlot(Addr line_addr, bool is_write, std::uint32_t add_sharers,
+                CacheProbe &probe)
+{
     // Choose a victim: first invalid way, else LRU. A locked line is never
     // chosen while an unlocked candidate exists (the HALO lock pins the
     // line for the duration of a query).
     const std::uint64_t base = setIndex(line_addr) * associativity;
-    CacheLineState *victim = nullptr;
-    CacheLineState *lockedVictim = nullptr;
+    std::uint64_t victim = absent;
+    std::uint64_t lockedVictim = absent;
     for (unsigned way = 0; way < associativity; ++way) {
-        CacheLineState &line = lines[base + way];
-        if (!line.valid) {
-            victim = &line;
+        const std::uint64_t slot = base + way;
+        if (tags[slot] == invalidAddr) {
+            victim = slot;
             break;
         }
+        const CacheLineState &line = state[slot];
         if (line.lockBit) {
-            if (!lockedVictim || line.lruStamp < lockedVictim->lruStamp)
-                lockedVictim = &line;
+            if (lockedVictim == absent ||
+                line.lruStamp < state[lockedVictim].lruStamp)
+                lockedVictim = slot;
             continue;
         }
-        if (!victim || line.lruStamp < victim->lruStamp)
-            victim = &line;
+        if (victim == absent || line.lruStamp < state[victim].lruStamp)
+            victim = slot;
     }
-    if (!victim)
+    if (victim == absent)
         victim = lockedVictim; // whole set locked: extremely rare fallback
 
-    CacheProbe probe;
-    if (victim->valid) {
+    CacheLineState &line = state[victim];
+    if (tags[victim] != invalidAddr) {
         ++evictions;
         probe.evictedValid = true;
-        probe.evictedDirty = victim->dirty;
-        probe.evictedLine = victim->tag;
-        probe.evictedSharers = victim->sharers;
-        if (victim->dirty)
+        probe.evictedDirty = line.dirty;
+        probe.evictedLine = tags[victim];
+        probe.evictedSharers = line.sharers;
+        if (line.dirty)
             ++writebacks;
     }
 
-    victim->tag = line_addr;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lockBit = false;
-    victim->sharers = add_sharers;
-    victim->lruStamp = ++lruCounter;
-    return probe;
+    tags[victim] = line_addr;
+    line.dirty = is_write;
+    line.lockBit = false;
+    line.sharers = add_sharers;
+    line.lruStamp = ++lruCounter;
+    return victim;
 }
 
 std::uint32_t
 Cache::sharers(Addr line_addr) const
 {
-    const CacheLineState *line = findLine(lineAlign(line_addr));
-    return line != nullptr ? line->sharers : 0;
+    const std::uint64_t slot = findSlot(lineAlign(line_addr));
+    return slot != absent ? state[slot].sharers : 0;
 }
 
 void
 Cache::clearSharers(Addr line_addr, std::uint32_t sharers,
                     bool absorb_dirty)
 {
-    if (CacheLineState *line = findLine(lineAlign(line_addr))) {
-        line->sharers &= ~sharers;
-        line->dirty = line->dirty || absorb_dirty;
+    const std::uint64_t slot = findSlot(lineAlign(line_addr));
+    if (slot != absent) {
+        state[slot].sharers &= ~sharers;
+        state[slot].dirty = state[slot].dirty || absorb_dirty;
     }
 }
 
 bool
 Cache::invalidate(Addr line_addr)
 {
-    if (CacheLineState *line = findLine(lineAlign(line_addr))) {
-        const bool was_dirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
-        line->lockBit = false;
-        return was_dirty;
-    }
-    return false;
+    const std::uint64_t slot = findSlot(lineAlign(line_addr));
+    if (slot == absent)
+        return false;
+    const bool was_dirty = state[slot].dirty;
+    tags[slot] = invalidAddr;
+    state[slot].dirty = false;
+    state[slot].lockBit = false;
+    return was_dirty;
 }
 
 bool
 Cache::setLockBit(Addr line_addr, bool locked)
 {
-    if (CacheLineState *line = findLine(lineAlign(line_addr))) {
-        line->lockBit = locked;
-        return true;
-    }
-    return false;
+    const std::uint64_t slot = findSlot(lineAlign(line_addr));
+    if (slot == absent)
+        return false;
+    state[slot].lockBit = locked;
+    return true;
 }
 
 bool
 Cache::lockBit(Addr line_addr) const
 {
-    const CacheLineState *line = findLine(lineAlign(line_addr));
-    return line != nullptr && line->lockBit;
+    const std::uint64_t slot = findSlot(lineAlign(line_addr));
+    return slot != absent && state[slot].lockBit;
+}
+
+bool
+Cache::lock(Addr line_addr, CacheProbe &filled)
+{
+    line_addr = lineAlign(line_addr);
+    std::uint64_t slot = findSlot(line_addr);
+    if (slot != absent && state[slot].lockBit)
+        return false; // already held by another query
+    if (slot == absent) {
+        ++misses;
+        slot = fillSlot(line_addr, false, 0, filled);
+    }
+    state[slot].lockBit = true;
+    return true;
 }
 
 std::uint64_t
 Cache::validLines() const
 {
     std::uint64_t n = 0;
-    for (const auto &line : lines)
-        if (line.valid)
+    for (const Addr tag : tags)
+        if (tag != invalidAddr)
             ++n;
     return n;
 }
@@ -206,8 +227,8 @@ Cache::validLines() const
 void
 Cache::flushAll()
 {
-    for (auto &line : lines)
-        line = CacheLineState{};
+    std::fill(tags.begin(), tags.end(), invalidAddr);
+    std::fill(state.begin(), state.end(), CacheLineState{});
 }
 
 } // namespace halo

@@ -38,25 +38,25 @@ const char *memLevelName(MemLevel level);
 constexpr unsigned maxSharerCores = 32;
 
 /**
- * One cache way. The lockBit is the reserved metadata bit HALO uses for
- * its hardware-assisted concurrency lock (paper §4.4); it is only ever
- * set on LLC lines. The sharer mask holds the snoop filter's core-valid
- * bits, also LLC only: bit c is set whenever core c's private caches may
- * hold the line. It may over-approximate (a private eviction leaves the
- * bit set) but never misses a holder.
+ * The state of one cache way apart from its tag (the tags live in a
+ * dense array of their own, scanned first). The lockBit is the reserved
+ * metadata bit HALO uses for its hardware-assisted concurrency lock
+ * (paper §4.4); it is only ever set on LLC lines. The sharer mask holds
+ * the snoop filter's core-valid bits, also LLC only: bit c is set
+ * whenever core c's private caches may hold the line. It may
+ * over-approximate (a private eviction leaves the bit set) but never
+ * misses a holder.
  */
 struct CacheLineState
 {
-    Addr tag = invalidAddr;   ///< full line address (tag+index combined)
-    bool valid = false;
     bool dirty = false;
     bool lockBit = false;     ///< HALO hardware lock (LLC only)
     std::uint32_t sharers = 0; ///< core-valid bits (LLC only)
     std::uint64_t lruStamp = 0;
 };
 
-static_assert(sizeof(CacheLineState) == 24,
-              "the sharer mask must stay in the line's padding");
+static_assert(sizeof(CacheLineState) == 16,
+              "the sharer mask must stay in the way's padding");
 
 /** Result of a single cache probe. */
 struct CacheProbe
@@ -138,6 +138,15 @@ class Cache
     /** Try to set the HALO lock bit. Fails when the line is absent. */
     bool setLockBit(Addr line_addr, bool locked);
 
+    /**
+     * Set the HALO lock bit with one probe of the set: a present,
+     * unlocked line is locked in place; an absent line is filled first
+     * (counted as a miss, as access() counts it) and then locked. Fails,
+     * changing nothing, when the line is already locked.
+     * @param filled the fill's eviction report (untouched on a hit)
+     */
+    bool lock(Addr line_addr, CacheProbe &filled);
+
     /** Read the lock bit; absent lines report unlocked. */
     bool lockBit(Addr line_addr) const;
 
@@ -152,17 +161,22 @@ class Cache
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &line : lines)
-            if (line.valid)
-                fn(line.tag);
+        for (const Addr tag : tags)
+            if (tag != invalidAddr)
+                fn(tag);
     }
 
     StatGroup &stats() { return statGroup; }
     const StatGroup &stats() const { return statGroup; }
 
   private:
-    CacheLineState *findLine(Addr line_addr);
-    const CacheLineState *findLine(Addr line_addr) const;
+    static constexpr std::uint64_t absent = ~std::uint64_t{0};
+
+    /** Way slot (set base + way) holding @p line_addr, or absent. */
+    std::uint64_t findSlot(Addr line_addr) const;
+    /** Allocate @p line_addr (absent) into its set's victim way. */
+    std::uint64_t fillSlot(Addr line_addr, bool is_write,
+                           std::uint32_t add_sharers, CacheProbe &probe);
     std::uint64_t setIndex(Addr line_addr) const;
 
     std::uint64_t sizeBytes;
@@ -170,7 +184,11 @@ class Cache
     std::uint64_t sets;
     Cycles hitLatency;
     std::uint64_t lruCounter = 0;
-    std::vector<CacheLineState> lines;
+    /// Line address per way, invalidAddr when the way is invalid; one
+    /// set's ways are contiguous, so a lookup scans one dense run.
+    std::vector<Addr> tags;
+    /// Everything else about each way, in the same slot order.
+    std::vector<CacheLineState> state;
 
     StatGroup statGroup;
     Counter &hits;

@@ -243,18 +243,14 @@ MemoryHierarchy::warmLine(Addr addr, bool into_private, CoreId core)
 bool
 MemoryHierarchy::lockLine(SliceId requester, Addr addr)
 {
+    (void)requester;
     const Addr line = lineAlign(addr);
-    const SliceId home = sliceOf(line);
-    if (slices[home]->lockBit(line))
-        return false; // already held by another query
-    if (!slices[home]->contains(line)) {
-        // Accelerator brings the line into LLC before locking it.
-        CacheProbe llc = slices[home]->access(line, false);
-        if (llc.evictedValid)
-            handleLlcEviction(llc.evictedLine, llc.evictedSharers);
-        (void)requester;
-    }
-    return slices[home]->setLockBit(line, true);
+    // An absent line is first brought into the LLC by the accelerator.
+    CacheProbe filled;
+    const bool locked = slices[sliceOf(line)]->lock(line, filled);
+    if (filled.evictedValid)
+        handleLlcEviction(filled.evictedLine, filled.evictedSharers);
+    return locked;
 }
 
 void

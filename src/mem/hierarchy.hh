@@ -76,6 +76,8 @@ struct AccessResult
 {
     Cycles latency = 0;
     MemLevel level = MemLevel::L1;
+
+    bool operator==(const AccessResult &) const = default;
 };
 
 /**

@@ -368,11 +368,21 @@ Revalidator::sweep()
         controlEpoch();
     }
 
-    // Swap-pop walk: a flow idle past the timeout is erased from its
-    // table and dropped from tracking. `max(stamp, installEpoch)`
-    // grants fresh installs a full timeout even before their first
-    // fast-path packet stamps the activity slot.
-    for (std::size_t i = 0; i < tracked_.size();) {
+    // Swap-pop walk over a bounded slice of tracked_, resumed where the
+    // last sweep stopped: a flow idle past the timeout is erased from
+    // its table and dropped from tracking. The slice covers at least
+    // 1/idleTimeoutEpochs of the list, so every flow is still checked
+    // once per timeout, and a short list is walked whole every sweep.
+    // `max(stamp, installEpoch)` grants fresh installs a full timeout
+    // even before their first fast-path packet stamps the activity slot.
+    const std::size_t n = tracked_.size();
+    const std::size_t budget = std::max<std::size_t>(
+        minSweepWalk,
+        ceilDiv(n, std::max<std::uint64_t>(cfg.idleTimeoutEpochs, 1)));
+    std::size_t i = n > budget && sweepCursor_ < n ? sweepCursor_ : 0;
+    for (std::size_t walked = 0; walked < std::min(budget, n); ++walked) {
+        if (i >= tracked_.size())
+            i = 0;
         const TrackedFlow &flow = tracked_[i];
         const ShardHooks &s = shards_[flow.shard];
         const std::uint64_t cur = s.activity->epoch();
@@ -394,6 +404,7 @@ Revalidator::sweep()
         tracked_[i] = std::move(tracked_.back());
         tracked_.pop_back();
     }
+    sweepCursor_ = i;
 }
 
 } // namespace halo

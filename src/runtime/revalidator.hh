@@ -13,8 +13,10 @@
  *    packets of the flow take the fast path;
  *  - performs Promote requests (EMC inserts) on the workers' behalf;
  *  - sweeps on a fixed cadence, advancing each shard's activity epoch
- *    and evicting every installed flow that has been idle longer than
- *    the configured timeout (OVS flow aging).
+ *    and evicting installed flows that have been idle longer than the
+ *    configured timeout (OVS flow aging); each sweep checks a bounded
+ *    slice of the tracked flows, and every flow is checked at least
+ *    once per timeout.
  *
  * The single-writer invariant is what makes the seqlocked tables sound:
  * per shard, this thread is the only mutator of the megaflow tuple
@@ -63,8 +65,10 @@ struct RevalidatorConfig
     /// idle timeout in wall time.
     std::uint64_t sweepIntervalMicros = 500;
     /// Idle epochs before an installed flow is aged out of the
-    /// megaflow/EMC layers.
-    std::uint64_t idleTimeoutEpochs = 4;
+    /// megaflow/EMC layers: 20000 x 500 us = 10 s, OVS's default
+    /// max-idle. Capacity, not idleness, bounds the tables before that
+    /// (maxTrackedFlows below).
+    std::uint64_t idleTimeoutEpochs = 20000;
     /// Tracked-install ceiling; at the cap the oldest tracked flow is
     /// evicted (its table entry erased) to admit the new one, keeping
     /// revalidator memory bounded however long the run.
@@ -230,8 +234,13 @@ class Revalidator
     std::vector<ShardControl> ctl_;
     unsigned sweepsSinceControl_ = 0;
 
+    /// Fewest tracked flows one sweep checks for idleness (all of
+    /// them when fewer are tracked).
+    static constexpr std::size_t minSweepWalk = 4096;
+
     std::vector<TrackedFlow> tracked_;  ///< revalidator thread only
     std::size_t evictCursor_ = 0;       ///< round-robin cap eviction
+    std::size_t sweepCursor_ = 0;       ///< where the next sweep resumes
     std::vector<UpcallRequest> drainBuf_; ///< revalidator thread only
     std::unique_ptr<obs::TraceRecorder> trace_;
     std::unique_ptr<obs::PerfRecorder> perf_;

@@ -14,6 +14,16 @@ constexpr unsigned rxRingSlots = 64;
 constexpr unsigned rxSlotBytes = 128; // two lines per 64-B frame slot
 constexpr unsigned keySlots = 1024;
 
+/** A fixed per-packet stage, lowered once by @p lower. */
+template <typename Lower>
+FixedBlock
+fixedStage(Lower &&lower)
+{
+    OpTrace ops;
+    lower(ops);
+    return FixedBlock(std::move(ops));
+}
+
 } // namespace
 
 void
@@ -53,7 +63,25 @@ VirtualSwitch::VirtualSwitch(SimMemory &memory, MemoryHierarchy &hierarchy,
       openflow(memory, config.tupleConfig),
       tableBuilder(SoftwareProfile{}),
       emcBuilder(SoftwareProfile{config.emcProfileInstructions, 0.362,
-                                 0.118, 0.210, 0.309, 3})
+                                 0.118, 0.210, 0.309, 3}),
+      // Packet IO: the RX descriptor, then the core reads the frame
+      // (offset 0 of the packet's RX slot).
+      ioBlock(fixedStage([&](OpTrace &ops) {
+          tableBuilder.lowerCompute(config.ioArith, config.ioOthers,
+                                    config.ioScratch, ops);
+          tableBuilder.lowerLoad(0, 16, AccessPhase::Payload, ops);
+      })),
+      // Pre-processing: header extraction over the frame.
+      preBlock(fixedStage([&](OpTrace &ops) {
+          tableBuilder.lowerLoad(0, 48, AccessPhase::Payload, ops);
+          tableBuilder.lowerCompute(config.preArith, config.preOthers,
+                                    config.preScratch, ops);
+      })),
+      // Action execution + bookkeeping ("others" in Fig. 3).
+      actBlock(fixedStage([&](OpTrace &ops) {
+          tableBuilder.lowerCompute(config.actArith, config.actOthers,
+                                    config.actScratch, ops);
+      }))
 {
     if (cfg.mode != LookupMode::Software)
         HALO_ASSERT(haloSys, "HALO mode requires a HaloSystem");
@@ -517,24 +545,13 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
         }
         hier.warmLine(slot_addr);
         hier.warmLine(slot_addr + cacheLineBytes);
-
-        OpTrace &io = opScratch;
-        io.clear();
-        tableBuilder.lowerCompute(cfg.ioArith, cfg.ioOthers,
-                                  cfg.ioScratch, io);
-        tableBuilder.lowerLoad(slot_addr, 16, AccessPhase::Payload, io);
-        RunResult rr = core.run(io, now);
+        RunResult rr = core.run(ioBlock, slot_addr, now);
         res.packetIo = rr.elapsed();
         res.instructions += rr.instructions;
         now = rr.endCycle;
 
         // --- Pre-processing: header extraction over the frame. ---
-        OpTrace &pre = opScratch;
-        pre.clear();
-        tableBuilder.lowerLoad(slot_addr, 48, AccessPhase::Payload, pre);
-        tableBuilder.lowerCompute(cfg.preArith, cfg.preOthers,
-                                  cfg.preScratch, pre);
-        rr = core.run(pre, now);
+        rr = core.run(preBlock, slot_addr, now);
         res.preprocess = rr.elapsed();
         res.instructions += rr.instructions;
         now = rr.endCycle;
@@ -580,11 +597,7 @@ VirtualSwitch::classifyTupleAt(const FiveTuple &tuple,
     }
 
     // --- Action execution + bookkeeping ("others" in Fig. 3). ---
-    OpTrace &act = opScratch;
-    act.clear();
-    tableBuilder.lowerCompute(cfg.actArith, cfg.actOthers, cfg.actScratch,
-                              act);
-    RunResult rr = core.run(act, now);
+    const RunResult rr = core.run(actBlock, 0, now);
     res.otherCycles = rr.elapsed();
     res.instructions += rr.instructions;
     now = rr.endCycle;

@@ -28,6 +28,7 @@
 
 #include "core/halo_system.hh"
 #include "cpu/core_model.hh"
+#include "cpu/fixed_block.hh"
 #include "cpu/trace_builder.hh"
 #include "flow/emc.hh"
 #include "flow/flow_activity.hh"
@@ -333,6 +334,13 @@ class VirtualSwitch
     ShardFlowEstimator *estimator_ = nullptr; ///< flow-count bits
     TraceBuilder tableBuilder; ///< Table-1 profile (cuckoo lookups)
     TraceBuilder emcBuilder;   ///< lighter profile for EMC probes
+
+    /// The stages every packet prices identically, lowered once: packet
+    /// IO and pre-processing (frame loads at offsets from the packet's
+    /// RX slot) and action execution (no memory references).
+    FixedBlock ioBlock;
+    FixedBlock preBlock;
+    FixedBlock actBlock;
 
     /// Per-packet scratch reused across packets (cleared, never
     /// reallocated) so steady-state classification does zero heap

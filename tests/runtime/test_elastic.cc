@@ -457,6 +457,7 @@ TEST(ElasticRuntime, MigrationsPreserveIntraFlowOrderUnderChurn)
     cfg.rss.tableEntries = 32;
     cfg.rss.maxTableEntries = 128;
     cfg.decoupled = true;
+    cfg.revalidator.idleTimeoutEpochs = 4; // 2 ms aging
     cfg.openflowRules = &of;
     cfg.warmTables = false;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
@@ -537,6 +538,7 @@ TEST(ElasticRuntime, ParksIdleWorkerAndWakesItForMigration)
     cfg.shardMemBytes = 256ull << 20;
     cfg.enqueueRetries = 1024;
     cfg.decoupled = true;
+    cfg.revalidator.idleTimeoutEpochs = 4; // 2 ms aging
     cfg.openflowRules = &of;
     cfg.warmTables = false;
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 4096;

@@ -458,16 +458,36 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
         rt.offer(Packet::fromTuple(t), t);
     };
 
+    // Offer flowOf(0), flowOf(1), ... in rounds of 500 until @p done
+    // holds or the worker has processed @p budget packets. Each round
+    // waits for the worker to finish the previous one, so the waits are
+    // counted in processed packets, not wall time: a sanitizer build
+    // gets the same traffic as a normal one, only slower. The wall
+    // clock is a hang guard and nothing more.
+    auto offerUntil = [&rt, &offerId](auto flowOf, auto done,
+                                      std::uint64_t budget) {
+        const auto guard = std::chrono::steady_clock::now() +
+                           std::chrono::minutes(5);
+        const std::uint64_t first = rt.snapshot().processed;
+        std::uint64_t i = 0;
+        while (!done() && rt.snapshot().processed - first < budget) {
+            for (int k = 0; k < 500; ++k)
+                offerId(flowOf(i++));
+            for (RuntimeSnapshot s = rt.snapshot(); s.processed < s.enqueued;
+                 s = rt.snapshot()) {
+                ASSERT_LT(std::chrono::steady_clock::now(), guard)
+                    << "worker stalled at " << s.processed << " of "
+                    << s.enqueued << " packets";
+                std::this_thread::yield();
+            }
+        }
+    };
+
     // Phase 1: pure scan — every packet a brand-new flow, repeat
     // fraction ~0. The controller must disable the EMC.
-    std::uint64_t id = 0;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(20);
-    while (rt.snapshot().revalidator.ctrlDisables == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-        for (int i = 0; i < 500; ++i)
-            offerId(id++);
-    }
+    offerUntil([](std::uint64_t i) { return i; },
+               [&rt] { return rt.snapshot().revalidator.ctrlDisables > 0; },
+               2'000'000);
     EXPECT_GE(rt.snapshot().revalidator.ctrlDisables, 1u);
     EXPECT_FALSE(rt.worker(0).vswitch().emc().enabled());
     EXPECT_GT(rt.flowEstimator(0)->windowsClosed(), 0u);
@@ -479,13 +499,9 @@ TEST(Runtime, AdaptiveEmcDisablesOnScanAndReenablesOnReuse)
     // repeat fraction is 1 - distinct/samples — the reuse set must be
     // small against the worst-case window or slow hosts look like a
     // scan and the controller (correctly) holds.
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::seconds(20);
-    while (rt.snapshot().revalidator.ctrlEnables == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-        for (int i = 0; i < 500; ++i)
-            offerId(i % 8);
-    }
+    offerUntil([](std::uint64_t i) { return i % 8; },
+               [&rt] { return rt.snapshot().revalidator.ctrlEnables > 0; },
+               2'000'000);
     EXPECT_GE(rt.snapshot().revalidator.ctrlEnables, 1u);
     EXPECT_TRUE(rt.worker(0).vswitch().emc().enabled());
 

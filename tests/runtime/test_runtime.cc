@@ -307,6 +307,7 @@ TEST(Runtime, DecoupledUpcallOverflowDropsAreCounted)
     cfg.shard.vswitch.tupleConfig.tupleCapacity = 8192;
     cfg.revalidator.ringCapacity = 4;
     cfg.revalidator.drainBatch = 1;
+    cfg.revalidator.idleTimeoutEpochs = 4; // 2 ms aging
     const RuleSet empty;
     Runtime rt(cfg, empty);
 
