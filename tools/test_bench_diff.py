@@ -191,6 +191,57 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(rc, 1, out)
         self.assertIn("reorder_violations", out)
 
+    def _metrics(self, doc):
+        extract = bench_diff.EXTRACTORS[doc["benchmark"]]
+        return {m.name: (m.kind, m.direction) for m in extract(doc)}
+
+    def test_multiworker_extractor(self):
+        doc = {"benchmark": "multiworker_throughput",
+               "meta": dict(META),
+               "runs": [{"workers": 2, "classify_burst": 16,
+                         "aggregate_cpu_pps": 190000.0,
+                         "ring_full_drops": 0,
+                         "wall_pps": 180000.0}]}
+        key = "runs[workers=2,burst=16]"
+        self.assertEqual(self._metrics(doc), {
+            key + ".aggregate_cpu_pps": (bench_diff.TIMING,
+                                         bench_diff.HIGHER),
+            key + ".ring_full_drops": (bench_diff.TIMING,
+                                       bench_diff.LOWER),
+        })
+        # All timing: a collapse passes under --no-timing only.
+        cur = json.loads(json.dumps(doc))
+        cur["runs"][0]["aggregate_cpu_pps"] = 100.0
+        rc, out = self._run(doc, cur)
+        self.assertEqual(rc, 1, out)
+        rc, out = self._run(doc, cur, "--no-timing")
+        self.assertEqual(rc, 0, out)
+
+    def test_churn_extractor(self):
+        doc = {"benchmark": "churn_throughput",
+               "meta": dict(META),
+               "headline_speedup_10pct_churn": 2.2,
+               "runs": [{"mode": "decoupled", "churn": 0.1,
+                         "aggregate_cpu_pps": 90000.0,
+                         "upcall_drops": 10,
+                         "matched": 6645}]}
+        key = "runs[decoupled,churn=0.1]"
+        self.assertEqual(self._metrics(doc), {
+            "headline_speedup_10pct_churn": (bench_diff.TIMING,
+                                             bench_diff.HIGHER),
+            key + ".aggregate_cpu_pps": (bench_diff.TIMING,
+                                         bench_diff.HIGHER),
+            key + ".upcall_drops": (bench_diff.TIMING, bench_diff.LOWER),
+        })
+        cur = json.loads(json.dumps(doc))
+        # Timing zeros are skipped, so the baseline carries a few drops.
+        cur["runs"][0]["upcall_drops"] = 500
+        rc, out = self._run(doc, cur)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("upcall_drops", out)
+        rc, out = self._run(doc, cur, "--no-timing")
+        self.assertEqual(rc, 0, out)
+
     def test_unknown_benchmark_is_noop(self):
         doc = {"benchmark": "mystery", "meta": dict(META)}
         rc, out = self._run(doc, doc)
